@@ -31,7 +31,9 @@ impl Checks {
     /// Replays one executed round against the brute-force model:
     /// events must answer exactly what the model selects at that point,
     /// and every mutation must have succeeded (a failed one is counted
-    /// and left out of the model, as it is out of the index).
+    /// and left out of the model, as it is out of the index). A run of
+    /// events between mutations sees one state of the model and is
+    /// answered in one batch.
     pub fn verify_round(
         &mut self,
         model: &mut Model,
@@ -40,16 +42,28 @@ impl Checks {
         applied: &[bool],
     ) {
         let (mut answers, mut applied) = (answers.iter(), applied.iter());
-        for op in ops {
-            self.attempted += 1;
-            if let Op::Event(q) = op {
-                let got = sorted_ids(answers.next().expect("one answer per event"));
-                let want = model.answer(q);
-                if got != want {
-                    self.fail(mismatch(q, &got, &want));
+        let mut rest = ops;
+        while let Some(op) = rest.first() {
+            let events: Vec<&SpatialQuery> = rest
+                .iter()
+                .map_while(|op| match op {
+                    Op::Event(q) => Some(q),
+                    _ => None,
+                })
+                .collect();
+            if !events.is_empty() {
+                rest = &rest[events.len()..];
+                for (q, want) in events.iter().zip(model.answer_all(&events)) {
+                    self.attempted += 1;
+                    let got = sorted_ids(answers.next().expect("one answer per event"));
+                    if got != want {
+                        self.fail(mismatch(q, &got, &want));
+                    }
                 }
                 continue;
             }
+            rest = &rest[1..];
+            self.attempted += 1;
             if !applied.next().expect("one outcome per mutation") {
                 self.failed += 1;
                 continue;

@@ -9,36 +9,41 @@ use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::{AccessStats, BackingStore, FlushPolicy, MemBacking, Wal};
 
-use crate::common::{check_index, Checks, Clustering, Metrics, Timing};
+use crate::common::{check_index, Checks, Clustering, Metrics};
 use crate::model::{flat, Model};
+use crate::runner::{self, put_clustering, put_read, put_reorg, put_wal, Runner, Sample};
 use crate::stats::percentile;
 use crate::store::{CountingStore, WalCounters, WalTally};
 use crate::trace::{self, Layer};
 use crate::workload::{Op, Source, Spec};
-use crate::{end_to_end, instance_seed, Args, INSTANCES};
+use crate::Args;
 
 /// The fixed flush policy of the logged workload.
 const FLUSH: FlushPolicy = FlushPolicy::PerBatch(64);
 
 /// A loaded, warmed-up index with its model and input source.
-struct Live {
+pub struct Live {
+    spec: Spec,
     index: AdaptiveClusterIndex,
     model: Model,
     source: Source,
     /// The log's counters, when logged.
     wal: Option<Arc<WalCounters>>,
+    /// The log's tally when the traced phase opened, then what it added.
+    wal_traced: WalTally,
     load_ns: u64,
     warmup_ns: u64,
+    /// Time `recover` took in the end-of-run checks.
+    recover_ns: u64,
     /// The traced run's stand-ins for the pair `execute` keeps inside
     /// the index: reused for the whole run, cleared per event.
     delta: StatsDelta,
     scratch: QueryScratch,
 }
 
-/// A measured phase; the traced run also fills the per-layer fields.
+/// What the traced run records beside the timing.
 #[derive(Debug, Default)]
-struct Sample {
-    t: Timing,
+pub struct Layers {
     read_ns: Vec<u64>,
     apply_ns: Vec<u64>,
     pass_ns: Vec<u64>,
@@ -50,97 +55,177 @@ fn config(spec: &Spec) -> IndexConfig {
     IndexConfig::memory(spec.dims)
 }
 
-/// Loads the subscriptions and runs the warm-up. Generating the inputs
-/// is not timed; loading and warm-up are.
-fn set_up(spec: &Spec, seed: u64, checks: &mut Checks) -> Live {
-    let mut source = Source::new(spec, seed);
-    let initial = source.initial();
-    let warmup: Vec<Vec<Op>> = (0..spec.warmup_rounds).map(|_| source.round()).collect();
-    let mut model = Model::new(spec.dims);
-    for (i, rect) in initial.iter().enumerate() {
-        model.insert(i as u32, rect);
-    }
-    let wal = spec.wal.then(|| Arc::new(WalCounters::default()));
+impl Runner for Live {
+    type Extra = Layers;
 
-    let started = Instant::now();
-    let mut index = AdaptiveClusterIndex::new(config(spec)).expect("valid config");
-    if let Some(counters) = &wal {
-        let store = Box::new(CountingStore::new(Arc::clone(counters)));
-        let log = Wal::create(store, FLUSH, spec.dims).expect("in-memory log");
-        index.attach_wal(log).expect("fresh log");
-    }
-    for (i, rect) in initial.into_iter().enumerate() {
-        if index.insert(ObjectId(i as u32), rect).is_err() {
-            checks.fail(format!("load: insert of #{i} failed"));
+    fn set_up(spec: &Spec, seed: u64, checks: &mut Checks) -> Live {
+        let mut source = Source::new(spec, seed);
+        let initial = source.initial();
+        let warmup: Vec<Vec<Op>> = (0..spec.warmup_rounds).map(|_| source.round()).collect();
+        let mut model = Model::new(spec.dims);
+        for (i, rect) in initial.iter().enumerate() {
+            model.insert(i as u32, rect);
         }
-    }
-    let load_ns = started.elapsed().as_nanos() as u64;
+        let wal = spec.wal.then(|| Arc::new(WalCounters::default()));
 
-    let mut live = Live {
-        index,
-        model,
-        source,
-        wal,
-        load_ns,
-        warmup_ns: 0,
-        delta: StatsDelta::new(),
-        scratch: QueryScratch::new(),
-    };
-    let mut warm = Sample::default();
-    for ops in &warmup {
-        run_round(&mut live, ops, &mut warm, false, checks);
-    }
-    live.warmup_ns = warm.t.busy_ns;
-    live
-}
-
-/// Executes one round, then checks it against the model outside the
-/// timed region.
-fn run_round(live: &mut Live, ops: &[Op], s: &mut Sample, traced: bool, checks: &mut Checks) {
-    let mut answers: Vec<Vec<ObjectId>> = Vec::with_capacity(ops.len());
-    let mut applied: Vec<bool> = Vec::new();
-    // Owned copies for the mutation calls, made before the clock starts.
-    let mut rects = ops
-        .iter()
-        .filter_map(|op| match op {
-            Op::Insert(_, r) | Op::Update(_, r) => Some(r.clone()),
-            _ => None,
-        })
-        .collect::<Vec<_>>()
-        .into_iter();
-    let (index, delta, scratch) = (&mut live.index, &mut live.delta, &mut live.scratch);
-    let round_started = Instant::now();
-    if traced {
-        for op in ops {
-            let root = trace::begin(Layer::Op);
-            if let Op::Event(q) = op {
-                traced_event(index, q, delta, scratch, s);
-                answers.push(scratch.matches().to_vec());
-                s.t.event_ns.push(trace::end(root));
-            } else {
-                let m = trace::begin(Layer::CoreMutate);
-                applied.push(mutate(index, op, &mut rects));
-                trace::end(m);
-                s.t.mutation_ns.push(trace::end(root));
+        let started = Instant::now();
+        let mut index = AdaptiveClusterIndex::new(config(spec)).expect("valid config");
+        if let Some(counters) = &wal {
+            let store = Box::new(CountingStore::new(Arc::clone(counters)));
+            let log = Wal::create(store, FLUSH, spec.dims).expect("in-memory log");
+            index.attach_wal(log).expect("fresh log");
+        }
+        for (i, rect) in initial.into_iter().enumerate() {
+            if index.insert(ObjectId(i as u32), rect).is_err() {
+                checks.fail(format!("load: insert of #{i} failed"));
             }
         }
-    } else {
-        for op in ops {
-            let started = Instant::now();
-            if let Op::Event(q) = op {
-                let r = index.execute(q);
-                s.t.event_ns.push(started.elapsed().as_nanos() as u64);
-                answers.push(r.matches);
-            } else {
-                let ok = mutate(index, op, &mut rects);
-                s.t.mutation_ns.push(started.elapsed().as_nanos() as u64);
-                applied.push(ok);
+        let load_ns = started.elapsed().as_nanos() as u64;
+
+        let mut live = Live {
+            spec: spec.clone(),
+            index,
+            model,
+            source,
+            wal,
+            wal_traced: WalTally::default(),
+            load_ns,
+            warmup_ns: 0,
+            recover_ns: 0,
+            delta: StatsDelta::new(),
+            scratch: QueryScratch::new(),
+        };
+        let mut warm = Sample::default();
+        for ops in &warmup {
+            live.run_round(ops, &mut warm, false, checks);
+        }
+        live.warmup_ns = warm.t.busy_ns;
+        live
+    }
+
+    fn setup_ns(&self) -> u64 {
+        self.load_ns + self.warmup_ns
+    }
+
+    fn next_round(&mut self) -> Vec<Op> {
+        self.source.round()
+    }
+
+    fn run_round(&mut self, ops: &[Op], s: &mut Sample<Layers>, traced: bool, checks: &mut Checks) {
+        let mut answers: Vec<Vec<ObjectId>> = Vec::with_capacity(ops.len());
+        let mut applied: Vec<bool> = Vec::new();
+        // Owned copies for the mutation calls, made before the clock starts.
+        let mut rects = ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Insert(_, r) | Op::Update(_, r) => Some(r.clone()),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
+        let (index, delta, scratch) = (&mut self.index, &mut self.delta, &mut self.scratch);
+        let round_started = Instant::now();
+        if traced {
+            for op in ops {
+                let root = trace::begin(Layer::Op);
+                if let Op::Event(q) = op {
+                    traced_event(index, q, delta, scratch, &mut s.x);
+                    answers.push(scratch.matches().to_vec());
+                    s.t.event_ns.push(trace::end(root));
+                } else {
+                    let m = trace::begin(Layer::CoreMutate);
+                    applied.push(mutate(index, op, &mut rects));
+                    trace::end(m);
+                    s.t.mutation_ns.push(trace::end(root));
+                }
+            }
+        } else {
+            for op in ops {
+                let started = Instant::now();
+                if let Op::Event(q) = op {
+                    let r = index.execute(q);
+                    s.t.event_ns.push(started.elapsed().as_nanos() as u64);
+                    answers.push(r.matches);
+                } else {
+                    let ok = mutate(index, op, &mut rects);
+                    s.t.mutation_ns.push(started.elapsed().as_nanos() as u64);
+                    applied.push(ok);
+                }
+            }
+        }
+        let busy_ns = round_started.elapsed().as_nanos() as u64;
+        s.t.end_round(ops.len(), busy_ns);
+        checks.verify_round(&mut self.model, ops, &answers, &applied);
+    }
+
+    /// Invariants and size; for the logged workload also a sync,
+    /// recovery from the log alone, and comparison of the recovered
+    /// id → rectangle map with the model.
+    fn final_checks(&mut self, checks: &mut Checks) {
+        check_index(checks, self.spec.name, &self.index, self.model.len());
+        if self.wal.is_none() {
+            return;
+        }
+        if let Err(e) = self.index.sync_wal() {
+            checks.fail(format!("sync_wal failed: {e}"));
+        }
+        let Some(log) = self.index.detach_wal() else {
+            checks.fail("the log is no longer attached".into());
+            return;
+        };
+        let store = log.into_store();
+        let bytes = store
+            .as_any()
+            .downcast_ref::<CountingStore>()
+            .expect("the benchmark's store")
+            .bytes()
+            .to_vec();
+        let started = Instant::now();
+        let recovered = AdaptiveClusterIndex::recover(
+            None,
+            Box::new(MemBacking::from_bytes(bytes)) as Box<dyn BackingStore>,
+            FLUSH,
+            config(&self.spec),
+        );
+        self.recover_ns = started.elapsed().as_nanos() as u64;
+        match recovered {
+            Err(e) => checks.fail(format!("recover failed: {e}")),
+            Ok((index, _)) => {
+                let mut ids: Vec<ObjectId> = index.object_ids().collect();
+                ids.sort_unstable();
+                let entries = self.model.entries();
+                let same = ids.len() == entries.len()
+                    && ids.iter().zip(&entries).all(|(id, (want_id, want))| {
+                        id.0 == *want_id && index.get(*id).is_some_and(|r| flat(&r) == *want)
+                    });
+                if !same {
+                    checks.fail(format!(
+                        "recovered map differs from the model ({} vs {} objects)",
+                        ids.len(),
+                        entries.len()
+                    ));
+                }
             }
         }
     }
-    let busy_ns = round_started.elapsed().as_nanos() as u64;
-    s.t.end_round(ops.len(), busy_ns);
-    checks.verify_round(&mut live.model, ops, &answers, &applied);
+
+    fn clustering(&self) -> Clustering {
+        Clustering::of(&self.index)
+    }
+
+    /// Times the log's backing-store calls during the traced phase and
+    /// keeps what the phase added to its tally.
+    fn trace_window(&mut self, open: bool) {
+        let Some(c) = &self.wal else {
+            return;
+        };
+        c.timed.store(open, Ordering::Relaxed);
+        self.wal_traced = if open {
+            c.tally()
+        } else {
+            c.tally().since(self.wal_traced)
+        };
+    }
 }
 
 /// `execute` split into its read phase and `apply_stats`, each in a span.
@@ -149,14 +234,14 @@ fn traced_event(
     q: &SpatialQuery,
     delta: &mut StatsDelta,
     scratch: &mut QueryScratch,
-    s: &mut Sample,
+    x: &mut Layers,
 ) {
     delta.clear();
     let r = trace::begin(Layer::CoreRead);
     let metrics = index.query_recorded_with(q, delta, scratch);
-    s.read_ns.push(trace::end(r));
-    s.access.merge(&metrics.stats);
-    s.matches += scratch.matches().len() as u64;
+    x.read_ns.push(trace::end(r));
+    x.access.merge(&metrics.stats);
+    x.matches += scratch.matches().len() as u64;
 
     let (passes, wall) = (index.reorganizations(), index.reorg_wall_ns());
     let a = trace::begin(Layer::CoreApply);
@@ -165,9 +250,9 @@ fn traced_event(
     if index.reorganizations() > passes {
         let pass_ns = index.reorg_wall_ns() - wall;
         trace::tail_child(a, a as usize + 1, Layer::CoreReorg, pass_ns);
-        s.pass_ns.push(pass_ns);
+        x.pass_ns.push(pass_ns);
     } else {
-        s.apply_ns.push(apply_ns);
+        x.apply_ns.push(apply_ns);
     }
 }
 
@@ -190,180 +275,39 @@ fn mutate(
     }
 }
 
-/// Runs whole rounds until `budget_ns` of execution is measured, or
-/// exactly `rounds` rounds when given.
-fn measure(
-    live: &mut Live,
-    budget_ns: u64,
-    rounds: Option<u64>,
-    traced: bool,
-    checks: &mut Checks,
-) -> Sample {
-    let mut s = Sample::default();
-    loop {
-        let ops = live.source.round();
-        run_round(live, &ops, &mut s, traced, checks);
-        let done = match rounds {
-            Some(n) => s.t.rounds >= n,
-            None => s.t.busy_ns >= budget_ns,
-        };
-        if done {
-            return s;
-        }
-    }
-}
-
-/// End-of-run checks: invariants, size, and for the logged workload a
-/// sync, recovery from the log alone, and comparison of the recovered
-/// id → rectangle map. Returns the recovery time in ns.
-fn final_checks(live: &mut Live, spec: &Spec, checks: &mut Checks) -> u64 {
-    check_index(checks, spec.name, &live.index, live.model.len());
-    if live.wal.is_none() {
-        return 0;
-    }
-    if let Err(e) = live.index.sync_wal() {
-        checks.fail(format!("sync_wal failed: {e}"));
-    }
-    let Some(log) = live.index.detach_wal() else {
-        checks.fail("the log is no longer attached".into());
-        return 0;
-    };
-    let store = log.into_store();
-    let bytes = store
-        .as_any()
-        .downcast_ref::<CountingStore>()
-        .expect("the benchmark's store")
-        .bytes()
-        .to_vec();
-    let started = Instant::now();
-    let recovered = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(bytes)) as Box<dyn BackingStore>,
-        FLUSH,
-        config(spec),
-    );
-    let recover_ns = started.elapsed().as_nanos() as u64;
-    match recovered {
-        Err(e) => checks.fail(format!("recover failed: {e}")),
-        Ok((index, _)) => {
-            let mut ids: Vec<ObjectId> = index.object_ids().collect();
-            ids.sort_unstable();
-            let entries = live.model.entries();
-            let same = ids.len() == entries.len()
-                && ids.iter().zip(&entries).all(|(id, (want_id, want))| {
-                    id.0 == *want_id && index.get(*id).is_some_and(|r| flat(&r) == *want)
-                });
-            if !same {
-                checks.fail(format!(
-                    "recovered map differs from the model ({} vs {} objects)",
-                    ids.len(),
-                    entries.len()
-                ));
-            }
-        }
-    }
-    recover_ns
-}
-
-/// The untraced run: `INSTANCES` set-ups from their own seeds; the last
-/// `measured_instances` are measured for an equal share of
-/// `args.seconds`; every one is checked.
-pub fn run(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
-    let mut setups = Vec::new();
-    let mut total = Timing::default();
-    for k in 0..INSTANCES {
-        let mut live = set_up(spec, instance_seed(args.seed, k), checks);
-        setups.push((live.load_ns + live.warmup_ns) as f64 / 1e9);
-        if k + spec.measured_instances < INSTANCES {
-            final_checks(&mut live, spec, checks);
-            continue;
-        }
-        let budget = args.seconds * 1_000_000_000 / spec.measured_instances;
-        let s = measure(&mut live, budget, None, false, checks);
-        final_checks(&mut live, spec, checks);
-        println!(
-            "{} instance {k}: {} rounds, {} events, {} mutations, {} clusters",
-            spec.name,
-            s.t.rounds,
-            s.t.event_ns.len(),
-            s.t.mutation_ns.len(),
-            live.index.cluster_count()
-        );
-        total.absorb(s.t);
-    }
-    end_to_end(&setups, &total)
-}
-
-/// The traced run: half the time untraced, then the same number of
-/// rounds traced on a fresh set-up, compared for clustering and timed
-/// for the tracing overhead.
+/// The traced run and its per-layer metrics.
 pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
-    let budget = args.seconds * 1_000_000_000 / 2;
-    let mut plain = set_up(spec, instance_seed(args.seed, INSTANCES - 1), checks);
-    let p = measure(&mut plain, budget, None, false, checks);
-    let plain_clustering = Clustering::of(&plain.index);
-    drop(plain);
-
-    let mut live = set_up(spec, instance_seed(args.seed, INSTANCES - 1), checks);
-    let before = Clustering::of(&live.index);
-    let counters = live.wal.clone();
-    let wal_before = counters.as_ref().map(|c| c.tally()).unwrap_or_default();
-    if let Some(c) = &counters {
-        c.timed.store(true, Ordering::Relaxed);
-    }
-    trace::install();
-    let mut s = measure(&mut live, 0, Some(p.t.rounds), true, checks);
-    let spans = trace::take();
-    if let Some(c) = &counters {
-        c.timed.store(false, Ordering::Relaxed);
-    }
-    let wal = counters
-        .map(|c| c.tally().since(wal_before))
-        .unwrap_or_default();
-    let after = Clustering::of(&live.index);
-    if after != plain_clustering {
-        checks.fail(format!(
-            "traced run ended in {after:?}, untraced run in {plain_clustering:?}"
-        ));
-    }
-    let recover_ns = final_checks(&mut live, spec, checks);
-    crate::write_spans(spec, args, &spans);
+    let runner::Traced {
+        plain,
+        mut live,
+        mut s,
+        spans,
+        before,
+        after,
+    } = runner::run_traced::<Live>(spec, args, checks);
+    live.final_checks(checks);
 
     let mut m = Metrics::default();
-    let events = s.t.event_ns.len().max(1) as f64;
-    s.read_ns.sort_unstable();
-    s.apply_ns.sort_unstable();
-    s.pass_ns.sort_unstable();
+    let x = &mut s.x;
+    x.read_ns.sort_unstable();
+    x.apply_ns.sort_unstable();
+    x.pass_ns.sort_unstable();
     let mutate_ns = trace::durations(&spans, Layer::CoreMutate);
     let us = |v: u64| v as f64 / 1e3;
-    m.put("core.read_us_p50", us(percentile(&s.read_ns, 50.0)), "us");
-    m.put(
-        "core.signature_checks_per_event",
-        s.access.signature_checks as f64 / events,
-        "count",
+    put_read(
+        &mut m,
+        &x.read_ns,
+        &x.access,
+        x.matches,
+        s.t.event_ns.len() as u64,
     );
-    m.put(
-        "core.clusters_explored_per_event",
-        s.access.clusters_explored as f64 / events,
-        "count",
-    );
-    m.put(
-        "core.objects_verified_per_event",
-        s.access.objects_verified as f64 / events,
-        "count",
-    );
-    m.put(
-        "core.matches_per_verified",
-        s.matches as f64 / s.access.objects_verified.max(1) as f64,
-        "ratio",
-    );
-    m.put("core.apply_us_p50", us(percentile(&s.apply_ns, 50.0)), "us");
+    m.put("core.apply_us_p50", us(percentile(&x.apply_ns, 50.0)), "us");
     put_reorg(
         &mut m,
-        s.pass_ns.len() as u64,
-        percentile(&s.pass_ns, 50.0),
-        s.pass_ns.last().copied().unwrap_or(0),
-        s.pass_ns.iter().sum(),
+        x.pass_ns.len() as u64,
+        percentile(&x.pass_ns, 50.0),
+        x.pass_ns.last().copied().unwrap_or(0),
+        x.pass_ns.iter().sum(),
         s.t.busy_ns,
     );
     put_clustering(&mut m, before, after);
@@ -374,61 +318,13 @@ pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
         "us",
     );
     m.put("core.warmup_s", live.warmup_ns as f64 / 1e9, "s");
-    put_wal(&mut m, wal, s.t.mutation_ns.len() as u64, recover_ns);
+    put_wal(
+        &mut m,
+        live.wal_traced,
+        s.t.mutation_ns.len() as u64,
+        live.recover_ns,
+    );
     crate::put_serve_absent(&mut m);
-    crate::put_trace(&mut m, &spans, &s.t, p.t.ns_per_op());
+    crate::put_trace(&mut m, &spans, &s.t, plain.ns_per_op());
     m
-}
-
-/// Reorganization metrics: pass count, p50, max and mean pass time, and
-/// the share of the measured time spent in passes.
-pub fn put_reorg(
-    m: &mut Metrics,
-    passes: u64,
-    p50_ns: u64,
-    max_ns: u64,
-    total_ns: u64,
-    busy_ns: u64,
-) {
-    m.put("core.reorg_passes", passes as f64, "count");
-    m.put("core.reorg_pass_ms_p50", p50_ns as f64 / 1e6, "ms");
-    m.put("core.reorg_pass_ms_max", max_ns as f64 / 1e6, "ms");
-    m.put(
-        "core.reorg_pass_ms_mean",
-        total_ns as f64 / 1e6 / passes.max(1) as f64,
-        "ms",
-    );
-    m.put(
-        "core.reorg_share",
-        total_ns as f64 / busy_ns.max(1) as f64,
-        "share",
-    );
-}
-
-/// Splits and merges during the measured phase, clusters at its end.
-pub fn put_clustering(m: &mut Metrics, before: Clustering, after: Clustering) {
-    m.put(
-        "core.splits",
-        (after.splits - before.splits) as f64,
-        "count",
-    );
-    m.put(
-        "core.merges",
-        (after.merges - before.merges) as f64,
-        "count",
-    );
-    m.put("core.clusters", after.clusters as f64, "count");
-}
-
-/// WAL metrics of the measured phase (zero for unlogged workloads).
-pub fn put_wal(m: &mut Metrics, wal: WalTally, mutations: u64, recover_ns: u64) {
-    m.put("storage.wal_records", wal.appends as f64, "count");
-    m.put(
-        "storage.wal_bytes_per_mutation",
-        wal.bytes as f64 / mutations.max(1) as f64,
-        "B",
-    );
-    m.put("storage.wal_flushes", wal.flushes as f64, "count");
-    m.put("storage.backing_us_total", wal.busy_ns as f64 / 1e3, "us");
-    m.put("storage.recover_ms", recover_ns as f64 / 1e6, "ms");
 }

@@ -15,6 +15,7 @@ mod common;
 mod index_run;
 mod model;
 mod reference;
+mod runner;
 mod serve_run;
 mod stats;
 mod store;
@@ -24,25 +25,9 @@ mod workload;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use common::{peak_rss_mb, report, Checks, Metrics, Timing};
-use stats::{median_f64, percentile, samples_beyond};
+use common::{report, Checks, Metrics, Timing};
 use trace::{Layer, Span};
 use workload::{Spec, NAMES};
-
-/// Input instances set up per untraced run, each from its own seed
-/// (`instance_seed`); `setup_s` is the median of their set-ups. The last
-/// `Spec::measured_instances` of them are measured, each for an equal
-/// share of the run, and their samples pooled: on `pubsub_settled` that
-/// averages out how much one instance's clustering happens to cost
-/// (about 12 % between two seeds), while on the workloads that never
-/// settle a short measured phase would sit in the adaptation transient.
-const INSTANCES: u64 = 3;
-
-/// The seed of instance `k` of a run with seed `seed`: distinct for
-/// every (seed, k) pair.
-pub fn instance_seed(seed: u64, k: u64) -> u64 {
-    seed.wrapping_mul(INSTANCES).wrapping_add(k)
-}
 
 /// Parsed command line.
 pub struct Args {
@@ -116,44 +101,17 @@ fn main() -> ExitCode {
     );
     let mut checks = Checks::default();
     let metrics = match (spec.sharded, args.trace) {
-        (false, false) => index_run::run(&spec, &args, &mut checks),
+        (false, false) => runner::run::<index_run::Live>(&spec, &args, &mut checks),
         (false, true) => index_run::run_traced(&spec, &args, &mut checks),
-        (true, false) => serve_run::run(&spec, &args, &mut checks),
+        (true, false) => runner::run::<serve_run::Live>(&spec, &args, &mut checks),
         (true, true) => serve_run::run_traced(&spec, &args, &mut checks),
     };
     report(&checks, &metrics);
-    ExitCode::SUCCESS
-}
-
-/// The end-to-end metrics of an untraced run; `setup_s` is the median
-/// of the set-up times `setups` (seconds).
-pub fn end_to_end(setups: &[f64], t: &Timing) -> Metrics {
-    let mut events = t.event_ns.clone();
-    events.sort_unstable();
-    let mut mutations = t.mutation_ns.clone();
-    mutations.sort_unstable();
-    let beyond = samples_beyond(&events, 99.9);
-    println!(
-        "samples: {} events ({beyond} beyond p99.9), {} mutations; set-ups {setups:.3?} s",
-        events.len(),
-        mutations.len(),
-    );
-    if beyond < 10 {
-        eprintln!("perfbench: only {beyond} samples beyond p99.9; run longer for a real tail");
+    if checks.correct() && checks.failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    let us = |v: u64| v as f64 / 1e3;
-    let mut m = Metrics::default();
-    m.put("setup_s", median_f64(setups), "s");
-    m.put(
-        "ops_per_s",
-        t.ops as f64 / (t.busy_ns.max(1) as f64 / 1e9),
-        "1/s",
-    );
-    m.put("event_p50_us", us(percentile(&events, 50.0)), "us");
-    m.put("event_p999_us", us(percentile(&events, 99.9)), "us");
-    m.put("mutation_p50_us", us(percentile(&mutations, 50.0)), "us");
-    m.put("peak_rss_mb", peak_rss_mb(), "MB");
-    m
 }
 
 /// Zero for the serving-tier metrics on the single-index workloads.

@@ -117,49 +117,77 @@ impl Model {
             .collect()
     }
 
-    /// Ids of the live objects `query` selects, ascending. Every object
-    /// is tested in every dimension, a column at a time.
+    /// Ids of the live objects `query` selects, ascending.
     pub fn answer(&self, query: &SpatialQuery) -> Vec<u32> {
-        let bounds = |w: &HyperRect| -> Vec<(f32, f32)> {
-            w.intervals().iter().map(|iv| (iv.lo(), iv.hi())).collect()
-        };
-        // Per dimension (a, b, shape): `Covers` keeps lo <= a && b <= hi,
-        // `Inside` keeps a <= lo && hi <= b.
-        let tests: Vec<(f32, f32, Shape)> = match query {
-            SpatialQuery::Intersection(w) => bounds(w)
-                .into_iter()
-                .map(|(ql, qh)| (qh, ql, Shape::Covers))
-                .collect(),
-            SpatialQuery::Enclosure(w) => bounds(w)
-                .into_iter()
-                .map(|(ql, qh)| (ql, qh, Shape::Covers))
-                .collect(),
-            SpatialQuery::Containment(w) => bounds(w)
-                .into_iter()
-                .map(|(ql, qh)| (ql, qh, Shape::Inside))
-                .collect(),
-            SpatialQuery::PointEnclosing(p) => p.iter().map(|&v| (v, v, Shape::Covers)).collect(),
-        };
-        let mut keep = vec![1u8; self.ids.len()];
-        for ((&(a, b, shape), lo), hi) in tests.iter().zip(&self.lo).zip(&self.hi) {
-            let rows = keep.iter_mut().zip(lo).zip(hi);
-            match shape {
-                Shape::Covers => {
-                    rows.for_each(|((k, &l), &h)| *k &= u8::from(l <= a) & u8::from(b <= h))
+        self.answer_all(&[query])
+            .pop()
+            .expect("one answer per query")
+    }
+
+    /// The answers to `queries` over the current objects, each ascending.
+    /// Every object is tested in every dimension, a column at a time; the
+    /// columns are walked in blocks of `BLOCK` rows, each block tested
+    /// against every query while it is in cache, so a batch reads the
+    /// table from memory once instead of once per query.
+    pub fn answer_all(&self, queries: &[&SpatialQuery]) -> Vec<Vec<u32>> {
+        let tests: Vec<Vec<(f32, f32, Shape)>> = queries.iter().map(|q| tests(q)).collect();
+        let mut out = vec![Vec::new(); queries.len()];
+        let mut keep = [0u8; BLOCK];
+        for start in (0..self.ids.len()).step_by(BLOCK) {
+            let end = (start + BLOCK).min(self.ids.len());
+            let keep = &mut keep[..end - start];
+            for (test, ids) in tests.iter().zip(&mut out) {
+                keep.fill(1);
+                for ((&(a, b, shape), lo), hi) in test.iter().zip(&self.lo).zip(&self.hi) {
+                    let rows = keep.iter_mut().zip(&lo[start..end]).zip(&hi[start..end]);
+                    match shape {
+                        Shape::Covers => {
+                            rows.for_each(|((k, &l), &h)| *k &= u8::from(l <= a) & u8::from(b <= h))
+                        }
+                        Shape::Inside => {
+                            rows.for_each(|((k, &l), &h)| *k &= u8::from(a <= l) & u8::from(h <= b))
+                        }
+                    }
                 }
-                Shape::Inside => {
-                    rows.for_each(|((k, &l), &h)| *k &= u8::from(a <= l) & u8::from(h <= b))
-                }
+                ids.extend(
+                    keep.iter()
+                        .zip(&self.ids[start..end])
+                        .filter(|(&k, _)| k == 1)
+                        .map(|(_, &id)| id),
+                );
             }
         }
-        let mut out: Vec<u32> = keep
-            .iter()
-            .zip(&self.ids)
-            .filter(|(&k, _)| k == 1)
-            .map(|(_, &id)| id)
-            .collect();
-        out.sort_unstable();
+        for ids in &mut out {
+            ids.sort_unstable();
+        }
         out
+    }
+}
+
+/// Rows of the table tested together against a batch of queries: 16
+/// columns of 2 048 `f32` are 128 KiB, well inside the per-core L2.
+const BLOCK: usize = 2048;
+
+/// Per dimension (a, b, shape): `Covers` keeps lo <= a && b <= hi,
+/// `Inside` keeps a <= lo && hi <= b.
+fn tests(query: &SpatialQuery) -> Vec<(f32, f32, Shape)> {
+    let bounds = |w: &HyperRect| -> Vec<(f32, f32)> {
+        w.intervals().iter().map(|iv| (iv.lo(), iv.hi())).collect()
+    };
+    match query {
+        SpatialQuery::Intersection(w) => bounds(w)
+            .into_iter()
+            .map(|(ql, qh)| (qh, ql, Shape::Covers))
+            .collect(),
+        SpatialQuery::Enclosure(w) => bounds(w)
+            .into_iter()
+            .map(|(ql, qh)| (ql, qh, Shape::Covers))
+            .collect(),
+        SpatialQuery::Containment(w) => bounds(w)
+            .into_iter()
+            .map(|(ql, qh)| (ql, qh, Shape::Inside))
+            .collect(),
+        SpatialQuery::PointEnclosing(p) => p.iter().map(|&v| (v, v, Shape::Covers)).collect(),
     }
 }
 
@@ -232,10 +260,12 @@ mod tests {
             rect(&lo, &hi)
         };
         let mut m = Model::new(3);
-        let objects: Vec<HyperRect> = (0..200).map(|_| draw(&mut rng)).collect();
+        // More objects than one block, so blocks and their edges are covered.
+        let objects: Vec<HyperRect> = (0..2 * BLOCK + 100).map(|_| draw(&mut rng)).collect();
         for (i, o) in objects.iter().enumerate() {
             m.insert(i as u32, o);
         }
+        let (mut queries, mut expected_all) = (Vec::new(), Vec::new());
         for _ in 0..50 {
             let w = draw(&mut rng);
             let p: Vec<f32> = (0..3).map(|_| rng.gen_range(0.0..=1.0)).collect();
@@ -249,8 +279,12 @@ mod tests {
                     .filter(|&i| q.matches_rect(&objects[i as usize]))
                     .collect();
                 assert_eq!(m.answer(&q), expected, "{q:?}");
+                queries.push(q);
+                expected_all.push(expected);
             }
         }
+        let batch: Vec<&SpatialQuery> = queries.iter().collect();
+        assert_eq!(m.answer_all(&batch), expected_all);
     }
 
     #[test]

@@ -8,290 +8,221 @@ use acx_geom::{ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
 use acx_storage::AccessStats;
 
-use crate::common::{Checks, Clustering, Metrics, Timing};
-use crate::index_run::{put_clustering, put_reorg, put_wal};
+use crate::common::{Checks, Clustering, Metrics};
 use crate::model::Model;
+use crate::runner::{self, put_clustering, put_read, put_reorg, put_wal, Runner, Sample};
 use crate::stats::{median_f64, percentile};
 use crate::store::WalTally;
 use crate::trace::{self, Layer};
 use crate::workload::{Op, Source, Spec};
-use crate::{end_to_end, instance_seed, Args, INSTANCES};
-
-/// Per-shard queue capacity. An event waits behind at most this many
-/// others per shard, so its latency stays a small multiple of the
-/// service time, and a reorganization stall delays few events; the cap
-/// still lets the other shard run on while one shard reorganizes.
-const QUEUE_CAP: usize = 8;
+use crate::Args;
 
 /// Events replayed read-only on every shard after the traced phase to
 /// count the read phase's work.
 const READ_PROBE: usize = 256;
 
-struct Live {
+pub struct Live {
     serving: ShardedIndex,
     model: Model,
     source: Source,
     load_ns: u64,
     warmup_ns: u64,
+    /// The events of the last round, for the read probe.
+    last_events: Vec<SpatialQuery>,
 }
 
+/// What the traced run records beside the timing.
 #[derive(Debug, Default)]
-struct Sample {
-    t: Timing,
-    submit_ns: Vec<u64>,
+pub struct Layers {
     flush_ns: Vec<u64>,
-    last_events: Vec<SpatialQuery>,
 }
 
 pub fn shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn set_up(spec: &Spec, seed: u64, checks: &mut Checks) -> Live {
-    let mut source = Source::new(spec, seed);
-    let initial = source.initial();
-    let warmup: Vec<Vec<Op>> = (0..spec.warmup_rounds).map(|_| source.round()).collect();
-    let mut model = Model::new(spec.dims);
-    for (i, rect) in initial.iter().enumerate() {
-        model.insert(i as u32, rect);
-    }
-    let config = ServeConfig::new(IndexConfig::memory(spec.dims))
-        .with_shards(shards())
-        .with_shard_by(ShardBy::Hash)
-        .with_queue_cap(QUEUE_CAP)
-        .retaining_results();
+impl Runner for Live {
+    type Extra = Layers;
 
-    let started = Instant::now();
-    let serving = ShardedIndex::new(config).expect("valid config");
-    let objects = initial
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| (ObjectId(i as u32), r));
-    if let Err(e) = serving.insert_all(objects) {
-        checks.fail(format!("load failed: {e}"));
-    }
-    let load_ns = started.elapsed().as_nanos() as u64;
-    let mut live = Live {
-        serving,
-        model,
-        source,
-        load_ns,
-        warmup_ns: 0,
-    };
-    let mut discard = Sample::default();
-    for ops in &warmup {
-        run_round(&mut live, ops, &mut discard, false, checks);
-    }
-    live.warmup_ns = discard.t.busy_ns;
-    live
-}
-
-/// Takes every completed answer, stamping its latency from the start of
-/// its `submit`.
-fn collect(
-    serving: &ShardedIndex,
-    first_seq: u64,
-    submitted: &[Instant],
-    answers: &mut [Option<Vec<ObjectId>>],
-    s: &mut Sample,
-) {
-    let results = serving.drain_results();
-    let now = Instant::now();
-    for r in results {
-        let k = (r.seq - first_seq) as usize;
-        s.t.event_ns.push((now - submitted[k]).as_nanos() as u64);
-        answers[k] = Some(r.matches);
-    }
-}
-
-fn run_round(live: &mut Live, ops: &[Op], s: &mut Sample, traced: bool, checks: &mut Checks) {
-    let events = ops.iter().filter(|op| op.is_event()).count();
-    let mut answers: Vec<Option<Vec<ObjectId>>> = vec![None; events];
-    let mut submitted: Vec<Instant> = Vec::with_capacity(events);
-    let mut applied = Vec::new();
-    let mut first_seq = None;
-    // Owned copies for the calls, made before the clock starts.
-    let owned: Vec<Op> = ops.to_vec();
-    let serving = &live.serving;
-    let round_started = Instant::now();
-    for op in owned {
-        let root = trace::begin(Layer::Op);
-        match op {
-            Op::Event(q) => {
-                let t = Instant::now();
-                let sub = trace::begin(Layer::ServeSubmit);
-                let seq = serving.submit(q);
-                let d = trace::end(sub);
-                if traced {
-                    s.submit_ns.push(d);
-                }
-                submitted.push(t);
-                let first = *first_seq.get_or_insert(seq);
-                if seq - first != submitted.len() as u64 - 1 {
-                    checks.fail(format!("submit returned sequence {seq} out of order"));
-                }
-                let c = trace::begin(Layer::ServeCollect);
-                collect(serving, first, &submitted, &mut answers, s);
-                trace::end(c);
-            }
-            Op::Update(id, rect) => {
-                let t = Instant::now();
-                let m = trace::begin(Layer::ServeMutate);
-                applied.push(serving.update(ObjectId(id), rect).is_ok());
-                trace::end(m);
-                s.t.mutation_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            Op::Insert(..) | Op::Remove(_) => unreachable!("serve_flood only updates"),
+    fn set_up(spec: &Spec, seed: u64, checks: &mut Checks) -> Live {
+        let mut source = Source::new(spec, seed);
+        let initial = source.initial();
+        let warmup: Vec<Vec<Op>> = (0..spec.warmup_rounds).map(|_| source.round()).collect();
+        let mut model = Model::new(spec.dims);
+        for (i, rect) in initial.iter().enumerate() {
+            model.insert(i as u32, rect);
         }
-        trace::end(root);
-    }
-    let root = trace::begin(Layer::Op);
-    let f = trace::begin(Layer::ServeFlush);
-    let t = Instant::now();
-    serving.flush();
-    if let Some(first) = first_seq {
-        collect(serving, first, &submitted, &mut answers, s);
-    }
-    s.flush_ns.push(t.elapsed().as_nanos() as u64);
-    trace::end(f);
-    trace::end(root);
-    let busy_ns = round_started.elapsed().as_nanos() as u64;
-    s.t.end_round(ops.len(), busy_ns);
+        // The program's default queue capacity.
+        let config = ServeConfig::new(IndexConfig::memory(spec.dims))
+            .with_shards(shards())
+            .with_shard_by(ShardBy::Hash)
+            .retaining_results();
 
-    let missing = answers.iter().filter(|a| a.is_none()).count();
-    if missing > 0 {
-        checks.fail(format!("{missing} submitted events never completed"));
-    }
-    let answers: Vec<Vec<ObjectId>> = answers.into_iter().map(Option::unwrap_or_default).collect();
-    checks.verify_round(&mut live.model, ops, &answers, &applied);
-    s.last_events = ops
-        .iter()
-        .filter_map(|op| match op {
-            Op::Event(q) => Some(q.clone()),
-            _ => None,
-        })
-        .collect();
-}
-
-/// Runs whole rounds until `budget_ns` of execution is measured, or
-/// exactly `rounds` rounds when given.
-fn measure(
-    live: &mut Live,
-    budget_ns: u64,
-    rounds: Option<u64>,
-    traced: bool,
-    checks: &mut Checks,
-) -> Sample {
-    let mut s = Sample::default();
-    loop {
-        let ops = live.source.round();
-        run_round(live, &ops, &mut s, traced, checks);
-        let done = match rounds {
-            Some(n) => s.t.rounds >= n,
-            None => s.t.busy_ns >= budget_ns,
+        let started = Instant::now();
+        let serving = ShardedIndex::new(config).expect("valid config");
+        let objects = initial
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (ObjectId(i as u32), r));
+        if let Err(e) = serving.insert_all(objects) {
+            checks.fail(format!("load failed: {e}"));
+        }
+        let load_ns = started.elapsed().as_nanos() as u64;
+        let mut live = Live {
+            serving,
+            model,
+            source,
+            load_ns,
+            warmup_ns: 0,
+            last_events: Vec::new(),
         };
-        if done {
-            return s;
+        let mut warm = Sample::default();
+        for ops in &warmup {
+            live.run_round(ops, &mut warm, false, checks);
+        }
+        live.warmup_ns = warm.t.busy_ns;
+        live
+    }
+
+    fn setup_ns(&self) -> u64 {
+        self.load_ns + self.warmup_ns
+    }
+
+    fn next_round(&mut self) -> Vec<Op> {
+        self.source.round()
+    }
+
+    /// Submits every event of the round, then `flush`es and takes the
+    /// answers. An event's latency is the time its `submit` blocked the
+    /// caller: under the flood, the wait for room in the shards' queues.
+    fn run_round(&mut self, ops: &[Op], s: &mut Sample<Layers>, traced: bool, checks: &mut Checks) {
+        let events: Vec<SpatialQuery> = ops
+            .iter()
+            .map(|op| match op {
+                Op::Event(q) => q.clone(),
+                _ => unreachable!("serve_flood only sends events"),
+            })
+            .collect();
+        self.last_events = events.clone();
+        let mut seqs = Vec::with_capacity(events.len());
+        let serving = &self.serving;
+        let round_started = Instant::now();
+        for q in events {
+            let root = trace::begin(Layer::Op);
+            let t = Instant::now();
+            let sub = trace::begin(Layer::ServeSubmit);
+            seqs.push(serving.submit(q));
+            let traced_ns = trace::end(sub);
+            s.t.event_ns.push(if traced {
+                traced_ns
+            } else {
+                t.elapsed().as_nanos() as u64
+            });
+            trace::end(root);
+        }
+        let root = trace::begin(Layer::Op);
+        let f = trace::begin(Layer::ServeFlush);
+        let t = Instant::now();
+        serving.flush();
+        s.x.flush_ns.push(t.elapsed().as_nanos() as u64);
+        trace::end(f);
+        let c = trace::begin(Layer::ServeCollect);
+        let results = serving.drain_results();
+        trace::end(c);
+        trace::end(root);
+        let busy_ns = round_started.elapsed().as_nanos() as u64;
+        s.t.end_round(ops.len(), busy_ns);
+
+        let first = seqs.first().copied().unwrap_or(0);
+        if seqs
+            .iter()
+            .enumerate()
+            .any(|(k, &seq)| seq != first + k as u64)
+        {
+            checks.fail("submit returned sequence numbers out of order".into());
+        }
+        let mut answers: Vec<Option<Vec<ObjectId>>> = vec![None; ops.len()];
+        for r in results {
+            match r.seq.checked_sub(first).map(|k| k as usize) {
+                Some(k) if k < answers.len() => answers[k] = Some(r.matches),
+                _ => checks.fail(format!("an answer for unknown event {}", r.seq)),
+            }
+        }
+        let missing = answers.iter().filter(|a| a.is_none()).count();
+        if missing > 0 {
+            checks.fail(format!("{missing} submitted events never completed"));
+        }
+        let answers: Vec<Vec<ObjectId>> =
+            answers.into_iter().map(Option::unwrap_or_default).collect();
+        checks.verify_round(&mut self.model, ops, &answers, &[]);
+    }
+
+    /// Zero rejections, every event completed, per-shard invariants, and
+    /// the resident count equal to the model's.
+    fn final_checks(&mut self, checks: &mut Checks) {
+        let serving = &self.serving;
+        serving.flush();
+        let stats = serving.stats();
+        if stats.queue_full_rejections != 0 {
+            checks.fail(format!(
+                "{} submissions rejected",
+                stats.queue_full_rejections
+            ));
+        }
+        if stats.events_completed != stats.events_submitted {
+            checks.fail(format!(
+                "{} of {} events completed",
+                stats.events_completed, stats.events_submitted
+            ));
+        }
+        let mut resident = 0;
+        for i in 0..serving.shards() {
+            let (invariants, len) = serving.with_shard(i, |ix: &mut AdaptiveClusterIndex| {
+                (ix.check_invariants(), ix.len())
+            });
+            if let Err(e) = invariants {
+                checks.fail(format!("shard {i}: check_invariants failed: {e}"));
+            }
+            resident += len;
+        }
+        if resident != self.model.len() || serving.len() != self.model.len() {
+            checks.fail(format!(
+                "shards hold {resident} (routes {}), the model {}",
+                serving.len(),
+                self.model.len()
+            ));
+        }
+    }
+
+    /// Per-shard clustering, summed.
+    fn clustering(&self) -> Clustering {
+        let serving = &self.serving;
+        (0..serving.shards())
+            .map(|i| serving.with_shard(i, |ix: &mut AdaptiveClusterIndex| Clustering::of(ix)))
+            .fold(Clustering::default(), Clustering::add)
+    }
+
+    /// Opens the serving tier's statistics window with the traced phase.
+    fn trace_window(&mut self, open: bool) {
+        if open {
+            self.serving.reset_stats_window();
         }
     }
 }
 
-/// Per-shard clustering, summed.
-fn clustering(serving: &ShardedIndex) -> Clustering {
-    (0..serving.shards())
-        .map(|i| serving.with_shard(i, |ix: &mut AdaptiveClusterIndex| Clustering::of(ix)))
-        .fold(Clustering::default(), Clustering::add)
-}
-
-/// Zero rejections, every event completed, per-shard invariants, and
-/// the resident count equal to the model's.
-fn final_checks(live: &Live, checks: &mut Checks) {
-    let serving = &live.serving;
-    serving.flush();
-    let stats = serving.stats();
-    if stats.queue_full_rejections != 0 {
-        checks.fail(format!(
-            "{} submissions rejected",
-            stats.queue_full_rejections
-        ));
-    }
-    if stats.events_completed != stats.events_submitted {
-        checks.fail(format!(
-            "{} of {} events completed",
-            stats.events_completed, stats.events_submitted
-        ));
-    }
-    let mut resident = 0;
-    for i in 0..serving.shards() {
-        let (invariants, len) = serving.with_shard(i, |ix: &mut AdaptiveClusterIndex| {
-            (ix.check_invariants(), ix.len())
-        });
-        if let Err(e) = invariants {
-            checks.fail(format!("shard {i}: check_invariants failed: {e}"));
-        }
-        resident += len;
-    }
-    if resident != live.model.len() || serving.len() != live.model.len() {
-        checks.fail(format!(
-            "shards hold {resident} (routes {}), the model {}",
-            serving.len(),
-            live.model.len()
-        ));
-    }
-}
-
-/// The untraced run: `INSTANCES` set-ups from their own seeds; the last
-/// `measured_instances` are measured for an equal share of
-/// `args.seconds`; every one is checked.
-pub fn run(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
-    let mut setups = Vec::new();
-    let mut total = Timing::default();
-    for k in 0..INSTANCES {
-        let mut live = set_up(spec, instance_seed(args.seed, k), checks);
-        setups.push((live.load_ns + live.warmup_ns) as f64 / 1e9);
-        if k + spec.measured_instances < INSTANCES {
-            final_checks(&live, checks);
-            continue;
-        }
-        let budget = args.seconds * 1_000_000_000 / spec.measured_instances;
-        let s = measure(&mut live, budget, None, false, checks);
-        final_checks(&live, checks);
-        println!(
-            "{} instance {k}: {} shards, {} rounds, {} events, {} updates",
-            spec.name,
-            live.serving.shards(),
-            s.t.rounds,
-            s.t.event_ns.len(),
-            s.t.mutation_ns.len()
-        );
-        total.absorb(s.t);
-    }
-    end_to_end(&setups, &total)
-}
-
+/// The traced run and its per-layer metrics.
 pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
-    let budget = args.seconds * 1_000_000_000 / 2;
-    let mut plain = set_up(spec, instance_seed(args.seed, INSTANCES - 1), checks);
-    let p = measure(&mut plain, budget.max(1), None, false, checks);
-    let plain_clustering = clustering(&plain.serving);
-    drop(plain);
-
-    let mut live = set_up(spec, instance_seed(args.seed, INSTANCES - 1), checks);
-    let before = clustering(&live.serving);
-    live.serving.reset_stats_window();
-    trace::install();
-    let mut s = measure(&mut live, 0, Some(p.t.rounds), true, checks);
-    let spans = trace::take();
+    let runner::Traced {
+        plain,
+        mut live,
+        mut s,
+        spans,
+        before,
+        after,
+    } = runner::run_traced::<Live>(spec, args, checks);
     let stats = live.serving.stats();
-    let after = clustering(&live.serving);
-    if after != plain_clustering {
-        checks.fail(format!(
-            "traced run ended in {after:?}, untraced run in {plain_clustering:?}"
-        ));
-    }
-    let probe = read_probe(&live.serving, &s.last_events);
-    final_checks(&live, checks);
-    crate::write_spans(spec, args, &spans);
+    let probe = read_probe(&live.serving, &live.last_events);
+    live.final_checks(checks);
 
     let mut m = Metrics::default();
     let us = |v: u64| v as f64 / 1e3;
@@ -303,28 +234,8 @@ pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
         access.merge(a);
         matches += n;
     }
-    let events = s.last_events.len().max(1) as f64;
-    m.put("core.read_us_p50", us(percentile(&read_ns, 50.0)), "us");
-    m.put(
-        "core.signature_checks_per_event",
-        access.signature_checks as f64 / events,
-        "count",
-    );
-    m.put(
-        "core.clusters_explored_per_event",
-        access.clusters_explored as f64 / events,
-        "count",
-    );
-    m.put(
-        "core.objects_verified_per_event",
-        access.objects_verified as f64 / events,
-        "count",
-    );
-    m.put(
-        "core.matches_per_verified",
-        matches as f64 / access.objects_verified.max(1) as f64,
-        "ratio",
-    );
+    let probed = live.last_events.len().min(READ_PROBE) as u64;
+    put_read(&mut m, &read_ns, &access, matches, probed);
     m.put("core.apply_us_p50", 0.0, "us");
     let shards = live.serving.shards() as u64;
     put_reorg(
@@ -344,11 +255,12 @@ pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
     );
     m.put("core.warmup_s", live.warmup_ns as f64 / 1e9, "s");
     put_wal(&mut m, WalTally::default(), 0, 0);
-    s.submit_ns.sort_unstable();
-    s.flush_ns.sort_unstable();
+    let mut submit_ns = s.t.event_ns.clone();
+    submit_ns.sort_unstable();
+    s.x.flush_ns.sort_unstable();
     m.put(
         "serve.submit_us_p50",
-        us(percentile(&s.submit_ns, 50.0)),
+        us(percentile(&submit_ns, 50.0)),
         "us",
     );
     m.put(
@@ -369,10 +281,10 @@ pub fn run_traced(spec: &Spec, args: &Args, checks: &mut Checks) -> Metrics {
     m.put("serve.queue_depth_p50", median_f64(&depth), "count");
     m.put(
         "serve.drain_ms",
-        percentile(&s.flush_ns, 50.0) as f64 / 1e6,
+        percentile(&s.x.flush_ns, 50.0) as f64 / 1e6,
         "ms",
     );
-    crate::put_trace(&mut m, &spans, &s.t, p.t.ns_per_op());
+    crate::put_trace(&mut m, &spans, &s.t, plain.ns_per_op());
     m
 }
 

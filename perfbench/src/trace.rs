@@ -31,17 +31,15 @@ pub enum Layer {
     StorageWal,
     /// `acx_serve` fan-out: one blocking `submit`.
     ServeSubmit,
-    /// `acx_serve` answer collection: `drain_results`.
+    /// `acx_serve` answer collection: `drain_results` after the flush.
     ServeCollect,
-    /// `acx_serve` routed mutation: `update`.
-    ServeMutate,
     /// `acx_serve` barrier: `flush` at the end of a round.
     ServeFlush,
 }
 
 impl Layer {
     /// Every layer, in report order.
-    pub const ALL: [Layer; 10] = [
+    pub const ALL: [Layer; 9] = [
         Layer::Op,
         Layer::CoreRead,
         Layer::CoreApply,
@@ -50,7 +48,6 @@ impl Layer {
         Layer::StorageWal,
         Layer::ServeSubmit,
         Layer::ServeCollect,
-        Layer::ServeMutate,
         Layer::ServeFlush,
     ];
 
@@ -65,7 +62,6 @@ impl Layer {
             Layer::StorageWal => "storage.wal",
             Layer::ServeSubmit => "serve.submit",
             Layer::ServeCollect => "serve.collect",
-            Layer::ServeMutate => "serve.mutate",
             Layer::ServeFlush => "serve.flush",
         }
     }

@@ -18,12 +18,6 @@ pub enum Op {
     Remove(u32),
 }
 
-impl Op {
-    pub fn is_event(&self) -> bool {
-        matches!(self, Op::Event(_))
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Event,
@@ -79,12 +73,16 @@ pub struct Spec {
     pub sharded: bool,
 }
 
-/// `pubsub_settled`: 31 point offers and one subscription change in 32.
-const SETTLED: &[Slot] = &[
-    E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, E, U,
-];
+/// `pubsub_settled` and `serve_flood`: events only, as in the paper's
+/// pub/sub traffic.
+const EVENTS: &[Slot] = &[E];
 /// `drift_churn`: seven queries and three logged mutations in ten.
 const CHURN: &[Slot] = &[E, E, U, E, E, I, E, E, R, E];
+
+/// Events per `serve_flood` round: four times the serving tier's
+/// default queue capacity, so that for most of a round the queues are
+/// full and every `submit` waits for room.
+const ROUND_EVENTS_FLOOD: usize = 4 * acx_serve::DEFAULT_QUEUE_CAP;
 
 pub const NAMES: [&str; 3] = ["pubsub_settled", "drift_churn", "serve_flood"];
 
@@ -97,8 +95,8 @@ impl Spec {
                 objects: 20_000,
                 objects_kind: Objects::Apartments,
                 events: Events::PointOffers,
-                pattern: SETTLED,
-                round_repeats: 8,
+                pattern: EVENTS,
+                round_repeats: 256,
                 warmup_rounds: 16,
                 measured_instances: 3,
                 wal: false,
@@ -123,9 +121,9 @@ impl Spec {
                 objects: 100_000,
                 objects_kind: Objects::Apartments,
                 events: Events::RangeOffers(0.05),
-                pattern: SETTLED,
-                round_repeats: 8,
-                warmup_rounds: 8,
+                pattern: EVENTS,
+                round_repeats: ROUND_EVENTS_FLOOD,
+                warmup_rounds: 1,
                 measured_instances: 1,
                 wal: false,
                 sharded: true,
@@ -151,13 +149,12 @@ impl Spec {
             Events::RangeOffers(f) => format!("range offers (half-width {f})"),
             Events::Mixed(p) => format!("mixed four-kind queries (hotspot moves every {p})"),
         };
-        let mutations = self.pattern.iter().filter(|&&s| s != E).count();
+        let mutations = self.pattern.iter().filter(|&&s| s != E).count() * self.round_repeats;
         format!(
-            "{} {}-d {objects}; {events}; {mutations} of every {} operations mutate; \
-             round = {} operations; warm-up = {} rounds",
+            "{} {}-d {objects}; {events}; round = {} operations, {mutations} of them \
+             mutations; warm-up = {} rounds",
             self.objects,
             self.dims,
-            self.pattern.len(),
             self.round_len(),
             self.warmup_rounds
         )

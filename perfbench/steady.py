@@ -7,11 +7,14 @@ BENCHMARK.json.
                                 [--trace 0|1] [--workloads a,b] [--first-seed 1]
 
 Run from the repository root. Each run uses another seed (first-seed,
-first-seed + 1, ...). The spread of a metric is the distance between its
-first and third quartile as a share of its median, with the quartiles of
-`statistics.quantiles(values, n=4)`. A metric is steady when its spread
-stays below a third of its bound. With `--sets 2` the runs are repeated
-on the same seeds and the two medians are compared against the bound.
+first-seed + 1, ... across all sets). The spread of a metric is the
+distance between its first and third quartile as a share of its median,
+with the quartiles of `statistics.quantiles(values, n=4)`. A metric is
+steady when its spread stays below a third of its bound; `setup_s` is
+judged only by the comparison of medians. With `--sets 2` a second set
+of runs on the next seeds follows, and its medians are compared with the
+first set's against the bound. Every run must pass its checks with no
+failed operation.
 """
 
 import argparse
@@ -31,6 +34,8 @@ def run_once(command, workload, seed, seconds, trace):
     wall = time.monotonic() - started
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
+        # A run whose checks fail exits non-zero; print what it found.
+        print(out.stdout[-3000:])
         sys.exit(f"run failed ({workload} seed {seed}): exit {out.returncode}\n{out.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return result, wall
@@ -69,18 +74,18 @@ def main():
             values = {m["name"]: [] for m in metrics}
             shares, walls, correct = set(), [], True
             for k in range(a.runs):
-                result, wall = run_once(bench["command"], workload, a.first_seed + k,
-                                        a.seconds, a.trace)
+                seed = a.first_seed + s * a.runs + k
+                result, wall = run_once(bench["command"], workload, seed, a.seconds, a.trace)
                 walls.append(wall)
                 correct &= result["correct"]
                 shares.add(Fraction(result["failed"], result["attempted"]))
                 for m in metrics:
                     values[m["name"]].append(result["metrics"][m["name"]]["value"])
-                print(f"   {workload} seed {a.first_seed + k}: " + ", ".join(
+                print(f"   {workload} seed {seed}: " + ", ".join(
                     f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics[:6]),
                     flush=True)
-            print(f"\n== {workload}, set {s + 1}: {a.runs} runs, seeds {a.first_seed}.."
-                  f"{a.first_seed + a.runs - 1}, correct {correct}, failed shares {sorted(str(x) for x in shares)}, "
+            print(f"\n== {workload}, set {s + 1}: {a.runs} runs, seeds {seed - a.runs + 1}.."
+                  f"{seed}, correct {correct}, failed shares {sorted(str(x) for x in shares)}, "
                   f"wall per run {statistics.median(walls):.1f} s (max {max(walls):.1f})")
             print(f"{'metric':<36} {'median':>12} {'q1':>12} {'q3':>12} {'min':>12} {'max':>12} "
                   f"{'spread':>8} {'bound':>6}  steady")
@@ -93,13 +98,19 @@ def main():
                 if bound is None:
                     verdict = ""
                 elif m["name"] == "setup_s":
-                    verdict = "(spread not bounded)"
+                    # Set-up time is gated by its median from set to set
+                    # (below), not by its spread within a set.
+                    verdict = "(median only)"
                 else:
                     ok = spread < bound / 3
                     all_steady &= ok
                     verdict = "yes" if ok else "NO"
                 print(f"{m['name']:<36} {med:>12.4f} {q1:>12.4f} {q3:>12.4f} {lo:>12.4f} {hi:>12.4f} "
                       f"{spread:>8.4f} {bound if bound is not None else '':>6}  {verdict}")
+            clean = correct and shares == {Fraction(0)}
+            all_steady &= clean
+            if not clean:
+                print("   NO: a check failed or operations failed")
             medians.append(set_medians)
         for s in range(1, len(medians)):
             print(f"-- {workload}: set {s + 1} against set 1")
